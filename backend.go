@@ -6,8 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamkm/internal/core"
@@ -100,25 +98,12 @@ func (s BackendSpec) hasQuota() bool {
 	return s.PointsPerSec != 0 || s.BytesPerSec != 0 || s.MaxResidentBytes != 0
 }
 
-// Backend is a servable streaming clusterer: the registry/HTTP surface
-// (batch ingest, centers, counters) plus snapshot/restore and spec
-// introspection. Implementations are safe for concurrent use.
+// Backend is a servable streaming clusterer: the registry's backend
+// contract (ingest, cached and forced queries, counters, snapshot) plus
+// spec introspection. A Backend's Snapshot restores via Restore with a
+// matching (or zero) spec. Implementations are safe for concurrent use.
 type Backend interface {
-	// AddBatch observes a batch of unit-weight points.
-	AddBatch(pts [][]float64)
-	// AddWeighted observes one point carrying weight w > 0.
-	AddWeighted(p []float64, w float64)
-	// Centers returns the current cluster centers (copies).
-	Centers() [][]float64
-	// Count returns the number of points observed so far.
-	Count() int64
-	// PointsStored reports memory use in stored points.
-	PointsStored() int
-	// Name identifies the algorithm in reports.
-	Name() string
-	// Snapshot serializes the backend's complete logical state to w; the
-	// result restores via Restore with a matching (or zero) spec.
-	Snapshot(w io.Writer) error
+	registry.Backend
 	// Spec reports the spec this backend was opened or restored with.
 	Spec() BackendSpec
 }
@@ -295,11 +280,11 @@ func Open(spec BackendSpec, cfg Config) (Backend, error) {
 			lambda, wall = ln2/spec.HalfLifeSeconds, true
 		}
 		sh, err := decay.NewSharded(spec.Shards, cfg.K, lambda, cfg.Seed, cfg.queryOptions(),
-			decayDriverFactory(spec.Algo, cfg, b))
+			driverFactory(spec.Algo, cfg, b))
 		if err != nil {
 			return nil, err
 		}
-		return &decayedBackend{spec: spec, sh: sh, alpha: cfg.Alpha, wall: wall, epoch: time.Now()}, nil
+		return newDecayedBackend(spec, sh, cfg.Alpha, wall, 0), nil
 	case BackendWindowed:
 		cfg, err := cfg.withDefaults()
 		if err != nil {
@@ -315,16 +300,16 @@ func Open(spec BackendSpec, cfg Config) (Backend, error) {
 			return nil, err
 		}
 		spec.Algo = ""
-		return &windowedBackend{spec: spec, sh: sh, alpha: cfg.Alpha}, nil
+		return newWindowedBackend(spec, sh, cfg.Alpha), nil
 	}
 	return nil, fmt.Errorf("streamkm: unknown backend type %q", spec.Type)
 }
 
-// decayDriverFactory builds the per-lane driver constructor for the
-// sharded decay pipeline — the same structure wiring as newShardedInner,
-// but returning the raw *core.Driver the decay shard wraps. cfg must
+// driverFactory builds the per-lane driver constructor for the sharded
+// pipelines: the summary structure algo selects, wrapped in the
+// *core.Driver each Concurrent shard and each decay lane runs. cfg must
 // already carry defaults.
-func decayDriverFactory(algo Algo, cfg Config, b coreset.Builder) func(lane int, seed int64) *core.Driver {
+func driverFactory(algo Algo, cfg Config, b coreset.Builder) func(lane int, seed int64) *core.Driver {
 	return func(_ int, seed int64) *core.Driver {
 		rng := rand.New(rand.NewSource(seed))
 		var s core.Structure
@@ -436,8 +421,7 @@ func backendFromEnvelope(bs *persist.BackendSnapshot, cfg Config) (Backend, erro
 		}
 		spec := specFromSnapshot(bs)
 		spec.Shards = sh.NumLanes()
-		return &decayedBackend{spec: spec, sh: sh, alpha: cfg.Alpha,
-			wall: wall, epoch: time.Now(), base: bs.ElapsedSeconds}, nil
+		return newDecayedBackend(spec, sh, cfg.Alpha, wall, bs.ElapsedSeconds), nil
 	case persist.BackendWindowed:
 		cfg.K = 1
 		cfg, err := cfg.withDefaults()
@@ -473,7 +457,7 @@ func backendFromEnvelope(bs *persist.BackendSnapshot, cfg Config) (Backend, erro
 		}
 		spec := specFromSnapshot(bs)
 		spec.Shards = sh.NumLanes()
-		return &windowedBackend{spec: spec, sh: sh, alpha: cfg.Alpha}, nil
+		return newWindowedBackend(spec, sh, cfg.Alpha), nil
 	}
 	return nil, fmt.Errorf("streamkm: unknown backend type %q in snapshot", bs.Type)
 }
@@ -551,16 +535,16 @@ func (b *concurrentBackend) Snapshot(w io.Writer) error {
 // sequencing step stamps every batch's global decay times (arrival
 // indices, or monotonic wall-clock seconds in HalfLifeSeconds mode),
 // coreset insertion proceeds under per-lane locks, and queries merge the
-// lane coresets — rescaled to a common reference time — behind the same
-// cached-centers single-flight fast path as Concurrent. The cache
-// freshness test keys on arrival count only: with no new arrivals, decay
-// scales every weight by the same factor, and k-means centers are
-// invariant under uniform weight scaling, so a count-fresh entry stays
-// correct even as wall-clock time passes.
+// lane coresets — rescaled to a common reference time — behind the
+// shared centersCache. The cache freshness test keys on arrival count
+// only: with no new arrivals, decay scales every weight by the same
+// factor, and k-means centers are invariant under uniform weight
+// scaling, so a count-fresh entry stays correct even as wall-clock time
+// passes.
 type decayedBackend struct {
-	spec  BackendSpec
-	sh    *decay.Sharded
-	alpha float64
+	*centersCache
+	spec BackendSpec
+	sh   *decay.Sharded
 
 	// Wall-clock mode (HalfLifeSeconds): decay times are seconds since
 	// the stream epoch, read from Go's monotonic clock. base carries the
@@ -569,10 +553,46 @@ type decayedBackend struct {
 	wall  bool
 	epoch time.Time
 	base  float64
+}
 
-	cache        atomic.Pointer[centersSnapshot]
-	refreshMu    sync.Mutex // single-flight guard for recomputation
-	hits, misses atomic.Int64
+func newDecayedBackend(spec BackendSpec, sh *decay.Sharded, alpha float64, wall bool, base float64) *decayedBackend {
+	return &decayedBackend{
+		centersCache: newCentersCache(alpha, 0, sh.Count, mergeCenters(sh)),
+		spec:         spec,
+		sh:           sh,
+		wall:         wall,
+		epoch:        time.Now(),
+		base:         base,
+	}
+}
+
+// laneMerger is the query half of the sharded recency pipelines
+// (decay.Sharded, window.Sharded): union the lane coresets, then cluster
+// the union.
+type laneMerger interface {
+	Coreset() []geom.Weighted
+	CoresetCenters(union []geom.Weighted) []geom.Point
+}
+
+// mergeCenters is the recency backends' compute function: it gathers the
+// lane coresets (the shard-merge trace stage, landing in ctx's span) and
+// runs the query k-means over their union.
+func mergeCenters(m laneMerger) func(context.Context) []Point {
+	return func(ctx context.Context) []Point {
+		done := trace.FromContext(ctx).StartStage("shard-merge")
+		union := m.Coreset()
+		done()
+		return pointsOf(m.CoresetCenters(union))
+	}
+}
+
+// unitWeighted wraps a batch of points as weight-1 points.
+func unitWeighted(pts [][]float64) []geom.Weighted {
+	wps := make([]geom.Weighted, len(pts))
+	for i, p := range pts {
+		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
+	}
+	return wps
 }
 
 // now returns the stream-relative timestamp for wall-clock decay,
@@ -590,73 +610,13 @@ func (b *decayedBackend) addBatch(wps []geom.Weighted) {
 }
 
 func (b *decayedBackend) AddBatch(pts [][]float64) {
-	if len(pts) == 0 {
-		return
+	if len(pts) > 0 {
+		b.addBatch(unitWeighted(pts))
 	}
-	wps := make([]geom.Weighted, len(pts))
-	for i, p := range pts {
-		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
-	}
-	b.addBatch(wps)
 }
 
 func (b *decayedBackend) AddWeighted(p []float64, w float64) {
 	b.addBatch([]geom.Weighted{{P: geom.Point(p), W: w}})
-}
-
-func (b *decayedBackend) Centers() [][]float64 {
-	return b.CentersContext(context.Background())
-}
-
-// CentersContext is Centers carrying the request context, so the
-// shard-merge stage of a cache-miss recomputation lands in the request's
-// trace span.
-func (b *decayedBackend) CentersContext(ctx context.Context) [][]float64 {
-	n := b.sh.Count()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		b.hits.Add(1)
-		return clonePoints(snap.centers)
-	}
-	b.misses.Add(1)
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		return clonePoints(snap.centers)
-	}
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-func (b *decayedBackend) Refresh() [][]float64 {
-	return b.RefreshContext(context.Background())
-}
-
-// RefreshContext recomputes the centers unconditionally, replacing the
-// cache; the merge is staged into ctx's trace span.
-func (b *decayedBackend) RefreshContext(ctx context.Context) [][]float64 {
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-// refreshLocked gathers and rescales the lane coresets (the shard-merge
-// trace stage), runs the query k-means over the union, and installs the
-// new cache entry. Caller holds refreshMu.
-func (b *decayedBackend) refreshLocked(ctx context.Context) []Point {
-	count := b.sh.Count()
-	done := trace.FromContext(ctx).StartStage("shard-merge")
-	union := b.sh.Coreset()
-	done()
-	cs := b.sh.CoresetCenters(union)
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	b.cache.Store(&centersSnapshot{centers: centers, count: count})
-	return centers
-}
-
-func (b *decayedBackend) CacheStats() (hits, misses int64) {
-	return b.hits.Load(), b.misses.Load()
 }
 
 func (b *decayedBackend) Count() int64 { return b.sh.Count() }
@@ -711,87 +671,33 @@ func (b *decayedBackend) Snapshot(w io.Writer) error {
 // windowedBackend serves the sharded sliding-window pipeline: sequencing
 // assigns global arrival indices, per-lane exponential histograms absorb
 // the batches in parallel, and queries expire every lane against the
-// global clock before unioning the lane coresets — behind the same
-// cached-centers single-flight fast path as Concurrent. Expiry is keyed
-// to arrival order, not wall-clock time, so count-based cache freshness
-// is exact here too.
+// global clock before unioning the lane coresets — behind the shared
+// centersCache. Expiry is keyed to arrival order, not wall-clock time,
+// so count-based freshness is exact here too; the cache's horizon is the
+// window length, so an entry goes stale once the window has moved on by
+// a fraction alpha-1 of itself, however long the stream.
 type windowedBackend struct {
-	spec  BackendSpec
-	sh    *window.Sharded
-	alpha float64
+	*centersCache
+	spec BackendSpec
+	sh   *window.Sharded
+}
 
-	cache        atomic.Pointer[centersSnapshot]
-	refreshMu    sync.Mutex // single-flight guard for recomputation
-	hits, misses atomic.Int64
+func newWindowedBackend(spec BackendSpec, sh *window.Sharded, alpha float64) *windowedBackend {
+	return &windowedBackend{
+		centersCache: newCentersCache(alpha, spec.WindowN, sh.Count, mergeCenters(sh)),
+		spec:         spec,
+		sh:           sh,
+	}
 }
 
 func (b *windowedBackend) AddBatch(pts [][]float64) {
-	if len(pts) == 0 {
-		return
+	if len(pts) > 0 {
+		b.sh.AddBatch(unitWeighted(pts))
 	}
-	wps := make([]geom.Weighted, len(pts))
-	for i, p := range pts {
-		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
-	}
-	b.sh.AddBatch(wps)
 }
 
 func (b *windowedBackend) AddWeighted(p []float64, w float64) {
 	b.sh.AddBatch([]geom.Weighted{{P: geom.Point(p), W: w}})
-}
-
-func (b *windowedBackend) Centers() [][]float64 {
-	return b.CentersContext(context.Background())
-}
-
-// CentersContext is Centers carrying the request context for trace
-// staging, as for decayedBackend.
-func (b *windowedBackend) CentersContext(ctx context.Context) [][]float64 {
-	n := b.sh.Count()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		b.hits.Add(1)
-		return clonePoints(snap.centers)
-	}
-	b.misses.Add(1)
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		return clonePoints(snap.centers)
-	}
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-func (b *windowedBackend) Refresh() [][]float64 {
-	return b.RefreshContext(context.Background())
-}
-
-// RefreshContext recomputes the centers unconditionally, replacing the
-// cache; the merge is staged into ctx's trace span.
-func (b *windowedBackend) RefreshContext(ctx context.Context) [][]float64 {
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-// refreshLocked expires and unions the lane coresets (the shard-merge
-// trace stage), runs the query k-means, and installs the new cache
-// entry. Caller holds refreshMu.
-func (b *windowedBackend) refreshLocked(ctx context.Context) []Point {
-	count := b.sh.Count()
-	done := trace.FromContext(ctx).StartStage("shard-merge")
-	union := b.sh.Coreset()
-	done()
-	cs := b.sh.CoresetCenters(union)
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	b.cache.Store(&centersSnapshot{centers: centers, count: count})
-	return centers
-}
-
-func (b *windowedBackend) CacheStats() (hits, misses int64) {
-	return b.hits.Load(), b.misses.Load()
 }
 
 func (b *windowedBackend) Count() int64 { return b.sh.Count() }
@@ -834,13 +740,4 @@ func (b *windowedBackend) Snapshot(w io.Writer) error {
 			WindowShards:     wss,
 		}})
 	})
-}
-
-// pointsOut converts internal points to caller-owned [][]float64 copies.
-func pointsOut(cs []geom.Point) [][]float64 {
-	out := make([][]float64, len(cs))
-	for i, c := range cs {
-		out[i] = append([]float64(nil), c...)
-	}
-	return out
 }

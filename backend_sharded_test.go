@@ -2,6 +2,7 @@ package streamkm
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,7 +54,7 @@ func TestShardedBackendSnapshotRoundTrip(t *testing.T) {
 			if got := numShards(t, b); got != 4 {
 				t.Fatalf("%d lanes, want 4", got)
 			}
-			preCost := Cost(pts, b.Centers())
+			preCost := Cost(pts, b.CentersContext(context.Background()))
 
 			var buf bytes.Buffer
 			if err := b.Snapshot(&buf); err != nil {
@@ -73,7 +74,7 @@ func TestShardedBackendSnapshotRoundTrip(t *testing.T) {
 			if got.HalfLife != spec.HalfLife || got.HalfLifeSeconds != spec.HalfLifeSeconds {
 				t.Fatalf("restored spec half-lives %+v, want %+v", got, spec)
 			}
-			postCost := Cost(pts, r.Centers())
+			postCost := Cost(pts, r.CentersContext(context.Background()))
 			if postCost > 2*preCost || preCost > 2*postCost {
 				t.Fatalf("cost after restore %v vs %v", postCost, preCost)
 			}
@@ -172,7 +173,7 @@ func TestRestoreGoldenLegacyBackends(t *testing.T) {
 			if got := numShards(t, b); got != 1 {
 				t.Fatalf("legacy snapshot restored with %d lanes, want 1", got)
 			}
-			if len(b.Centers()) == 0 {
+			if len(b.CentersContext(context.Background())) == 0 {
 				t.Fatal("no centers from restored legacy backend")
 			}
 			// It keeps ingesting, and its next snapshot is the sharded

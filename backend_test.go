@@ -2,6 +2,7 @@ package streamkm
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func TestOpenSnapshotRestoreAllBackends(t *testing.T) {
 			if b.Count() != 2000 {
 				t.Fatalf("count %d, want 2000", b.Count())
 			}
-			preCost := Cost(pts, b.Centers())
+			preCost := Cost(pts, b.CentersContext(context.Background()))
 
 			var buf bytes.Buffer
 			if err := b.Snapshot(&buf); err != nil {
@@ -65,7 +66,7 @@ func TestOpenSnapshotRestoreAllBackends(t *testing.T) {
 			if got.Type != spec.Type || got.K != spec.K {
 				t.Fatalf("restored spec %+v, want type %s k=%d", got, spec.Type, spec.K)
 			}
-			postCost := Cost(pts, r.Centers())
+			postCost := Cost(pts, r.CentersContext(context.Background()))
 			if postCost > 2*preCost || preCost > 2*postCost {
 				t.Fatalf("cost after restore %v vs %v", postCost, preCost)
 			}
@@ -243,7 +244,7 @@ func TestDecayedBackendForgetsUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for off := w * 500; off < (w+1)*500; off += 100 {
 				b.AddBatch(old[off : off+100])
-				b.Centers()
+				b.CentersContext(context.Background())
 				b.Count()
 			}
 		}(w)
@@ -257,7 +258,7 @@ func TestDecayedBackendForgetsUnderConcurrency(t *testing.T) {
 		fresh[i] = []float64{base + rng.NormFloat64(), base + rng.NormFloat64()}
 	}
 	b.AddBatch(fresh)
-	for _, ctr := range b.Centers() {
+	for _, ctr := range b.CentersContext(context.Background()) {
 		if ctr[0] < 2500 {
 			t.Fatalf("center %v still dominated by decayed-away history", ctr)
 		}
@@ -279,7 +280,7 @@ func TestWindowedBackendConcurrency(t *testing.T) {
 			defer wg.Done()
 			for off := w * 1000; off < (w+1)*1000; off += 200 {
 				b.AddBatch(pts[off : off+200])
-				b.Centers()
+				b.CentersContext(context.Background())
 				var buf bytes.Buffer
 				if err := b.Snapshot(&buf); err != nil {
 					t.Error(err)

@@ -208,7 +208,7 @@ func build(o options) (*registry.Registry, *server.Multi, error) {
 		// Write a checkpoint immediately: an unwritable location must be
 		// a boot error, not a string of ignored ticker failures that void
 		// the durability promise on the first kill.
-		if _, err := reg.Checkpoint(o.defaultStream); err != nil {
+		if _, _, err := reg.Checkpoint(o.defaultStream); err != nil {
 			return nil, nil, fmt.Errorf("checkpoint not writable: %w", err)
 		}
 	}

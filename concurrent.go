@@ -1,10 +1,9 @@
 package streamkm
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"streamkm/internal/geom"
 	"streamkm/internal/parallel"
@@ -22,32 +21,27 @@ import (
 // never contend; AddBatch amortizes one lock acquisition over a whole
 // batch.
 //
-// Queries take the cached-centers fast path: the centers computed by the
-// previous query are reused until the stream has grown by more than a
-// factor Alpha since they were computed — the same cost-staleness idea
-// OnlineCC (Algorithm 7) uses to answer most queries in O(1). A stale
-// cache triggers exactly one recomputation (single-flight); concurrent
-// queries keep being served the previous centers meanwhile, so query
-// latency stays flat under heavy read traffic.
+// Queries take the cached-centers fast path shared by every serving
+// backend (centersCache): the centers computed by the previous query are
+// reused until the stream has grown by more than a factor Alpha since
+// they were computed, and a stale entry triggers exactly one
+// recomputation while concurrent queries keep being served the previous
+// centers.
 type Concurrent struct {
 	inner *parallel.Sharded
 	k     int
-	alpha float64
 	algo  Algo
 	dim   int // dimension recorded in the snapshot this was restored from; 0 otherwise
-
-	cache atomic.Pointer[centersSnapshot]
-
-	refreshMu sync.Mutex // single-flight guard for recomputation
-
-	hits, misses atomic.Int64
+	cache *centersCache
 }
 
-// centersSnapshot is one immutable cache entry: the centers computed by a
-// query and the stream count at the moment the computation started.
-type centersSnapshot struct {
-	centers []Point
-	count   int64
+// newConcurrent wires a Concurrent's centers cache to its shards.
+func newConcurrent(inner *parallel.Sharded, k int, alpha float64, algo Algo) *Concurrent {
+	c := &Concurrent{inner: inner, k: k, algo: algo}
+	c.cache = newCentersCache(alpha, 0, inner.Count, func(context.Context) []Point {
+		return pointsOf(inner.Centers())
+	})
+	return c
 }
 
 // NewConcurrent creates a thread-safe clusterer with p ingest shards.
@@ -71,7 +65,7 @@ func NewConcurrent(algo Algo, p int, cfg Config) (*Concurrent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Concurrent{inner: inner, k: cfg.K, alpha: cfg.Alpha, algo: algo}, nil
+	return newConcurrent(inner, cfg.K, cfg.Alpha, algo), nil
 }
 
 // MustNewConcurrent is NewConcurrent that panics on configuration errors.
@@ -107,11 +101,7 @@ func (c *Concurrent) AddBatch(pts []Point) {
 	if len(pts) == 0 {
 		return
 	}
-	wps := make([]geom.Weighted, len(pts))
-	for i, p := range pts {
-		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
-	}
-	c.inner.AddBatchTo(c.inner.NextShard(), wps)
+	c.inner.AddBatchTo(c.inner.NextShard(), unitWeighted(pts))
 }
 
 // Centers returns k cluster centers for everything observed so far. Safe
@@ -121,72 +111,21 @@ func (c *Concurrent) AddBatch(pts []Point) {
 // caller recomputes while any concurrent queries continue to be served
 // the previous centers. The returned slices are copies owned by the
 // caller.
-func (c *Concurrent) Centers() []Point {
-	n := c.inner.Count()
-	if snap := c.cache.Load(); snap != nil && fresh(n, snap.count, c.alpha) {
-		c.hits.Add(1)
-		return clonePoints(snap.centers)
-	}
-	c.misses.Add(1)
-	return c.recompute()
+func (c *Concurrent) Centers() []Point { return c.cache.CentersContext(context.Background()) }
+
+// CentersContext is Centers for the serving layer's Backend contract.
+func (c *Concurrent) CentersContext(ctx context.Context) [][]float64 {
+	return c.cache.CentersContext(ctx)
 }
 
 // Refresh recomputes the centers unconditionally, replaces the cache, and
 // returns them. Use it when an up-to-the-last-point answer matters more
 // than latency.
-func (c *Concurrent) Refresh() []Point {
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	return clonePoints(c.refreshLocked())
-}
+func (c *Concurrent) Refresh() []Point { return c.cache.RefreshContext(context.Background()) }
 
-// recompute is the single-flight slow path: the first goroutine to find
-// the cache stale recomputes; goroutines that queue behind it re-check on
-// wake and reuse its result instead of recomputing again.
-func (c *Concurrent) recompute() []Point {
-	n := c.inner.Count()
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	if snap := c.cache.Load(); snap != nil && fresh(n, snap.count, c.alpha) {
-		return clonePoints(snap.centers)
-	}
-	return clonePoints(c.refreshLocked())
-}
-
-// refreshLocked unions the shard coresets, runs k-means++, and installs
-// the new cache entry. Caller holds refreshMu. The count is read before
-// the union so points racing in during the computation conservatively
-// age the new entry rather than extending its life.
-func (c *Concurrent) refreshLocked() []Point {
-	count := c.inner.Count()
-	cs := c.inner.Centers()
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	c.cache.Store(&centersSnapshot{centers: centers, count: count})
-	return centers
-}
-
-// fresh reports whether a cache entry computed at count `cached` still
-// answers a query arriving at count `now` under staleness threshold
-// alpha. An entry computed on an empty stream is only fresh while the
-// stream is still empty.
-func fresh(now, cached int64, alpha float64) bool {
-	if cached == 0 {
-		return now == 0
-	}
-	return float64(now) <= alpha*float64(cached)
-}
-
-// clonePoints deep-copies centers so callers can never corrupt the shared
-// cache entry.
-func clonePoints(pts []Point) []Point {
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = append([]float64(nil), p...)
-	}
-	return out
+// RefreshContext is Refresh for the serving layer's Backend contract.
+func (c *Concurrent) RefreshContext(ctx context.Context) [][]float64 {
+	return c.cache.RefreshContext(ctx)
 }
 
 // Count returns the number of points observed so far (one atomic load).
@@ -206,9 +145,7 @@ func (c *Concurrent) Name() string { return c.inner.Name() }
 
 // CacheStats reports how many Centers calls were answered from the
 // cached-centers fast path (hits) versus recomputed (misses).
-func (c *Concurrent) CacheStats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
+func (c *Concurrent) CacheStats() (hits, misses int64) { return c.cache.CacheStats() }
 
 // Algo returns the per-shard summary structure (AlgoCT, AlgoCC or
 // AlgoRCC) this clusterer was built — or restored — with.
@@ -239,26 +176,25 @@ func (c *Concurrent) Snapshot(w io.Writer) error {
 // writes. The quota-carrying backend wrapper reuses it as the payload
 // of a v3 typed envelope.
 func (c *Concurrent) snapshotEnvelope() (persist.Envelope, error) {
-	// refreshMu orders the snapshot against cache refreshes: both take
-	// refreshMu before any shard lock, so the cache entry written below
+	// The single-flight lock orders the snapshot against cache refreshes:
+	// both take it before any shard lock, so the cache entry written below
 	// can never be newer than the quiesced shard state.
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	env, err := persist.SnapshotSharded(c.inner)
-	if err != nil {
-		return persist.Envelope{}, err
-	}
-	s := env.Sharded
-	s.Alpha = c.alpha
-	if snap := c.cache.Load(); snap != nil {
-		s.HasCache = true
-		s.CachedCount = snap.count
-		s.CachedCenters = make([][]float64, len(snap.centers))
-		for i, p := range snap.centers {
-			s.CachedCenters[i] = append([]float64(nil), p...)
+	var env persist.Envelope
+	err := c.cache.locked(func(e *centersSnapshot) error {
+		var err error
+		if env, err = persist.SnapshotSharded(c.inner); err != nil {
+			return err
 		}
-	}
-	return env, nil
+		s := env.Sharded
+		s.Alpha = c.cache.alpha
+		if e != nil {
+			s.HasCache = true
+			s.CachedCount = e.count
+			s.CachedCenters = clonePoints(e.centers)
+		}
+		return nil
+	})
+	return env, err
 }
 
 // NewConcurrentFromSnapshot reconstructs a Concurrent previously written
@@ -307,19 +243,10 @@ func concurrentFromSharded(env persist.Envelope, cfg Config) (*Concurrent, error
 	if alpha <= 1 {
 		alpha = 1.2 // snapshot predates alpha capture; fall back to the default
 	}
-	c := &Concurrent{
-		inner: inner,
-		k:     s.K,
-		alpha: alpha,
-		algo:  Algo(s.Shards[0].Kind),
-		dim:   s.Dim,
-	}
+	c := newConcurrent(inner, s.K, alpha, Algo(s.Shards[0].Kind))
+	c.dim = s.Dim
 	if s.HasCache {
-		centers := make([]Point, len(s.CachedCenters))
-		for i, p := range s.CachedCenters {
-			centers[i] = append([]float64(nil), p...)
-		}
-		c.cache.Store(&centersSnapshot{centers: centers, count: s.CachedCount})
+		c.cache.entry.Store(&centersSnapshot{centers: clonePoints(s.CachedCenters), count: s.CachedCount})
 	}
 	return c, nil
 }

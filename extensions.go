@@ -203,20 +203,7 @@ func newShardedInner(p int, algo Algo, cfg Config) (*parallel.Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parallel.NewSharded(p, cfg.K, cfg.Seed, cfg.queryOptions(),
-		func(_ int, seed int64) *core.Driver {
-			rng := rand.New(rand.NewSource(seed))
-			var s core.Structure
-			switch algo {
-			case AlgoCT:
-				s = core.NewCT(cfg.MergeDegree, cfg.BucketSize, b, rng)
-			case AlgoCC:
-				s = core.NewCC(cfg.MergeDegree, cfg.BucketSize, b, rng)
-			default:
-				s = core.NewRCC(cfg.RCCOrder, cfg.BucketSize, b, rng)
-			}
-			return core.NewDriver(s, cfg.K, cfg.BucketSize, rng, cfg.queryOptions())
-		})
+	return parallel.NewSharded(p, cfg.K, cfg.Seed, cfg.queryOptions(), driverFactory(algo, cfg, b))
 }
 
 // ShardedClusterer clusters p parallel substreams. It satisfies Clusterer

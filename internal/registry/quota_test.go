@@ -183,6 +183,9 @@ func TestThrashSheddingAndRecovery(t *testing.T) {
 	// Two streams under MaxResident 1: every alternating access evicts
 	// the other and restores from disk — textbook thrash.
 	ingest(t, r, "a", 1) // create a
+	// Without a tick the two creations share one timestamp, and the LRU
+	// tie could hibernate b instead of a, shifting every later restore.
+	clk.advance(time.Second)
 	ingest(t, r, "b", 1) // create b, hibernate a
 	shedAt := -1
 	for i := 0; i < 4; i++ {

@@ -6,13 +6,12 @@
 //
 // Each stream owns one clustering backend (in the shipped daemon any
 // streamkm backend variant — concurrent, decayed or windowed, all with
-// sharded ingest lanes; backends reporting a lane count through the
-// Sharder interface surface it in Info and /stats). The registry
-// bounds how many are resident at
-// once: past MaxResident — or past an idle TTL — the least-recently-used
-// stream is hibernated, i.e. checkpointed to its per-stream snapshot
-// file (the same versioned envelope internal/persist writes for daemon
-// checkpoints) and its backend released. The next access restores it
+// sharded ingest lanes, whose count Info and /stats report). The
+// registry bounds how many are resident at once: past MaxResident — or
+// past an idle TTL — the least-recently-used stream is hibernated, i.e.
+// checkpointed to its per-stream snapshot file (the same versioned
+// envelope internal/persist writes for daemon checkpoints) and its
+// backend released. The next access restores it
 // lazily, with every ingested point's weight intact, so eviction is a
 // pure RAM/latency trade, never data loss.
 //
@@ -47,21 +46,35 @@ import (
 	"streamkm/internal/wire"
 )
 
-// Backend is the per-stream clustering surface the registry manages. It
-// is the same shape as the HTTP layer's Clusterer interface, so any
-// servable backend slots in. Implementations must be safe for concurrent
-// use.
+// Backend is the one contract every per-stream clustering backend
+// satisfies: batch and weighted ingest, the cached-centers query and its
+// forced-recomputation counterpart (both carrying the request context,
+// so backend-internal stages land in the request's trace span), the
+// cache's hit/miss counters, size and lane counters, and the snapshot
+// that hibernation, checkpoints and migration write. Implementations must
+// be safe for concurrent use; Snapshot must be safe to call while other
+// goroutines ingest and query.
 type Backend interface {
+	// AddBatch observes a batch of unit-weight points.
 	AddBatch(pts [][]float64)
-	Centers() [][]float64
+	// AddWeighted observes one point carrying weight w > 0.
+	AddWeighted(p []float64, w float64)
+	// CentersContext returns the current cluster centers (copies), from
+	// the backend's centers cache while it is fresh.
+	CentersContext(ctx context.Context) [][]float64
+	// RefreshContext recomputes the centers unconditionally.
+	RefreshContext(ctx context.Context) [][]float64
+	// CacheStats reports the centers cache's hit and miss counters.
+	CacheStats() (hits, misses int64)
+	// Count returns the number of points observed so far.
 	Count() int64
+	// PointsStored reports memory use in stored points.
 	PointsStored() int
+	// NumShards reports the ingest lane count.
+	NumShards() int
+	// Name identifies the algorithm in reports.
 	Name() string
-}
-
-// Snapshotter is the additional capability hibernation needs: backends
-// that cannot serialize themselves can be hosted but never evicted.
-type Snapshotter interface {
+	// Snapshot serializes the backend's complete logical state to w.
 	Snapshot(w io.Writer) error
 }
 
@@ -182,7 +195,7 @@ type Config struct {
 	// New builds a fresh backend for a stream. Required.
 	New func(id string, cfg StreamConfig) (Backend, error)
 	// Restore rebuilds a backend from a snapshot previously written by
-	// its Snapshotter, returning the configuration recorded in the
+	// its Snapshot method, returning the configuration recorded in the
 	// snapshot. want carries the configuration the stream was explicitly
 	// created with (zero-valued for lazily or boot-registered streams);
 	// implementations must fail on a mismatch rather than resume a
@@ -232,6 +245,10 @@ var (
 	ErrInvalidConfig = errors.New("registry: invalid stream config")
 	ErrDetached      = errors.New("registry: stream detached for migration")
 	ErrThrottled     = errors.New("registry: request throttled")
+	// ErrNoSnapshotPath reports a persistence request (checkpoint,
+	// detach) against a memory-only stream: one with neither a DataDir
+	// nor a Files entry, which has nowhere to write by construction.
+	ErrNoSnapshotPath = errors.New("registry: stream has no snapshot path")
 )
 
 // DetachedError reports a request against a stream frozen for migration
@@ -605,16 +622,11 @@ func (r *Registry) hibernateLocked(e *Stream) error {
 	if b == nil || e.deleted {
 		return nil // already cold (or gone); not a failure
 	}
-	sn, ok := b.(Snapshotter)
-	if !ok {
-		r.stats.RecordEvictFailure()
-		return fmt.Errorf("registry: backend %s cannot snapshot; stream %q stays resident", b.Name(), e.id)
-	}
 	if e.path == "" {
 		r.stats.RecordEvictFailure()
-		return fmt.Errorf("registry: stream %q has no snapshot path; stays resident", e.id)
+		return fmt.Errorf("%w: %q stays resident", ErrNoSnapshotPath, e.id)
 	}
-	n, err := persist.WriteFileAtomic(e.path, sn.Snapshot)
+	n, err := persist.WriteFileAtomic(e.path, b.Snapshot)
 	if err != nil {
 		r.stats.RecordEvictFailure()
 		r.checkpoint.RecordFailure()
@@ -868,7 +880,7 @@ func (r *Registry) Detach(id, newOwner string) (string, error) {
 		return e.path, nil
 	}
 	if e.path == "" {
-		return "", fmt.Errorf("registry: stream %q has no snapshot path; cannot detach", id)
+		return "", fmt.Errorf("%w: cannot detach %q", ErrNoSnapshotPath, id)
 	}
 	if e.backend == nil {
 		if _, err := os.Stat(e.path); err != nil {
@@ -1107,16 +1119,18 @@ func (r *Registry) writeStandby(e *Stream, raw []byte, cfg StreamConfig, count i
 }
 
 // Checkpoint persists a stream's current state to its snapshot file
-// without hibernating it, returning the bytes written. Hibernated
-// streams are a no-op (their file already holds the state).
-func (r *Registry) Checkpoint(id string) (int64, error) {
+// without hibernating it, returning the file's path and the bytes
+// written. Hibernated streams are a no-op (their file already holds the
+// state); memory-only streams fail with ErrNoSnapshotPath.
+func (r *Registry) Checkpoint(id string) (string, int64, error) {
 	r.mu.Lock()
 	e, ok := r.streams[id]
 	r.mu.Unlock()
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, id)
+		return "", 0, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	return r.checkpointStream(e, false)
+	n, err := r.checkpointStream(e, false)
+	return e.path, n, err
 }
 
 // checkpointStream writes e's state to its file; force writes even when
@@ -1139,14 +1153,10 @@ func (r *Registry) checkpointStream(e *Stream, onlyDirty bool) (int64, error) {
 			return 0, nil
 		}
 	}
-	sn, ok := b.(Snapshotter)
-	if !ok {
-		return 0, fmt.Errorf("registry: backend %s cannot snapshot", b.Name())
-	}
 	if e.path == "" {
-		return 0, fmt.Errorf("registry: stream %q has no snapshot path", e.id)
+		return 0, fmt.Errorf("%w: %q", ErrNoSnapshotPath, e.id)
 	}
-	n, err := persist.WriteFileAtomic(e.path, sn.Snapshot)
+	n, err := persist.WriteFileAtomic(e.path, b.Snapshot)
 	if err != nil {
 		r.checkpoint.RecordFailure()
 		return 0, fmt.Errorf("registry: checkpoint %q: %w", e.id, err)
@@ -1191,14 +1201,10 @@ func (r *Registry) Snapshot(id string, w io.Writer) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	if b := e.backend; b != nil {
-		sn, ok := b.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("registry: backend %s cannot snapshot", b.Name())
-		}
-		return sn.Snapshot(w)
+		return b.Snapshot(w)
 	}
 	if e.path == "" {
-		return fmt.Errorf("registry: stream %q has no snapshot path", e.id)
+		return fmt.Errorf("%w: %q", ErrNoSnapshotPath, e.id)
 	}
 	f, err := os.Open(e.path)
 	if err != nil {
@@ -1229,6 +1235,9 @@ type Info struct {
 	Count        int64   `json:"count"`
 	PointsStored int     `json:"points_stored"`
 	LastAccess   int64   `json:"last_access_unix"`
+	// Centers-cache counters, reported for resident streams only.
+	CacheHits   int64 `json:"cache_hits,omitempty"`
+	CacheMisses int64 `json:"cache_misses,omitempty"`
 }
 
 // Stat describes one stream without changing its residency; statting a

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,7 +31,9 @@ func (f *fakeBackend) AddBatch(pts [][]float64) {
 	f.count.Add(int64(len(pts)))
 }
 
-func (f *fakeBackend) Centers() [][]float64 {
+func (f *fakeBackend) AddWeighted(p []float64, _ float64) { f.AddBatch([][]float64{p}) }
+
+func (f *fakeBackend) CentersContext(context.Context) [][]float64 {
 	out := make([][]float64, f.k)
 	for i := range out {
 		out[i] = []float64{float64(i)}
@@ -38,9 +41,12 @@ func (f *fakeBackend) Centers() [][]float64 {
 	return out
 }
 
-func (f *fakeBackend) Count() int64      { return f.count.Load() }
-func (f *fakeBackend) PointsStored() int { return int(f.count.Load()) }
-func (f *fakeBackend) Name() string      { return f.algo }
+func (f *fakeBackend) RefreshContext(ctx context.Context) [][]float64 { return f.CentersContext(ctx) }
+func (f *fakeBackend) CacheStats() (hits, misses int64)               { return 0, 0 }
+func (f *fakeBackend) Count() int64                                   { return f.count.Load() }
+func (f *fakeBackend) PointsStored() int                              { return int(f.count.Load()) }
+func (f *fakeBackend) NumShards() int                                 { return 1 }
+func (f *fakeBackend) Name() string                                   { return f.algo }
 
 type fakeState struct {
 	Algo  string `json:"algo"`
@@ -175,7 +181,7 @@ func TestExplicitCreateDeleteAndErrors(t *testing.T) {
 	}
 
 	ingest(t, r, "t1", 3)
-	if _, err := r.Checkpoint("t1"); err != nil {
+	if _, _, err := r.Checkpoint("t1"); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "t1.snap")
@@ -426,7 +432,7 @@ func TestCheckpointAllSkipsPathlessStreams(t *testing.T) {
 		t.Fatalf("default stream was not checkpointed: %v", err)
 	}
 	// Explicit checkpoint of a path-less stream is still an error.
-	if _, err := r.Checkpoint("ephemeral"); err == nil {
+	if _, _, err := r.Checkpoint("ephemeral"); err == nil {
 		t.Fatal("explicit Checkpoint of a path-less stream should fail")
 	}
 }
@@ -457,7 +463,7 @@ func TestFilesOverrideMapsLegacyCheckpoint(t *testing.T) {
 	file := filepath.Join(dir, "state.snap")
 	r1 := mustNew(t, Config{Files: map[string]string{"default": file}})
 	ingest(t, r1, "default", 9)
-	if _, err := r1.Checkpoint("default"); err != nil {
+	if _, _, err := r1.Checkpoint("default"); err != nil {
 		t.Fatal(err)
 	}
 	r2 := mustNew(t, Config{Files: map[string]string{"default": file}})
@@ -589,7 +595,7 @@ func TestConcurrentChurn(t *testing.T) {
 				// against the churn.
 				if round%3 == 0 {
 					r.With(ids[(id+streams/2)%streams], true, func(_ *Stream, b Backend) error {
-						b.Centers()
+						b.CentersContext(context.Background())
 						return nil
 					})
 				}

@@ -119,15 +119,8 @@ func (e *Stream) info() Info {
 		in.Resident = true
 		in.Count = b.Count()
 		in.PointsStored = b.PointsStored()
-		if s, ok := b.(Sharder); ok {
-			in.Shards = s.NumShards()
-		}
+		in.Shards = b.NumShards()
+		in.CacheHits, in.CacheMisses = b.CacheStats()
 	}
 	return in
-}
-
-// Sharder is optionally implemented by backends with parallel ingest
-// lanes; Info reports the lane count for resident streams.
-type Sharder interface {
-	NumShards() int
 }

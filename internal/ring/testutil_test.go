@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -257,7 +258,7 @@ func referenceCost(t testing.TB, pts [][]float64) float64 {
 		t.Fatal(err)
 	}
 	b.AddBatch(pts)
-	return kmeansCost(pts, b.Centers())
+	return kmeansCost(pts, b.CentersContext(context.Background()))
 }
 
 // mergedListing fetches the router's merged GET /streams and indexes it

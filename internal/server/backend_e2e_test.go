@@ -226,7 +226,7 @@ func TestE2EBackendMismatchOnRestore(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if _, err := reg.Checkpoint("ghost"); err != nil {
+	if _, _, err := reg.Checkpoint("ghost"); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()

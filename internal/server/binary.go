@@ -75,13 +75,13 @@ func decodeBinary(raw []byte, maxPoints int64, pool *wire.BufferPool) (*wire.Bat
 	return batch, 0, ""
 }
 
-// applyBinary feeds an already-validated batch to c in AddBatch chunks
+// applyBinary feeds an already-validated batch to b in AddBatch chunks
 // of maxBatch points (one shard-lock acquisition per chunk). The batch
 // was vetted end-to-end by the decoder, so unlike the ndjson path no
 // failure after the dimension check can strand a partial request —
 // either the dimension is wrong and nothing is applied, or every point
 // lands.
-func applyBinary(batch *wire.Batch, maxBatch int, c Clusterer, checkDim func([]float64) error) (ingested int64, status int, msg string) {
+func applyBinary(batch *wire.Batch, maxBatch int, b registry.Backend, checkDim func([]float64) error) (ingested int64, status int, msg string) {
 	if batch.Len() == 0 {
 		return 0, 0, ""
 	}
@@ -91,12 +91,8 @@ func applyBinary(batch *wire.Batch, maxBatch int, c Clusterer, checkDim func([]f
 		return 0, http.StatusBadRequest, fmt.Sprintf("point 0: %v", err)
 	}
 	if batch.Weights != nil {
-		wa, ok := c.(WeightedAdder)
-		if !ok {
-			return 0, http.StatusBadRequest, fmt.Sprintf("backend %s does not accept weighted points", c.Name())
-		}
 		for i, p := range batch.Points {
-			wa.AddWeighted(p, batch.Weights[i])
+			b.AddWeighted(p, batch.Weights[i])
 		}
 		return int64(batch.Len()), 0, ""
 	}
@@ -105,7 +101,7 @@ func applyBinary(batch *wire.Batch, maxBatch int, c Clusterer, checkDim func([]f
 		if end > batch.Len() {
 			end = batch.Len()
 		}
-		c.AddBatch(batch.Points[off:end])
+		b.AddBatch(batch.Points[off:end])
 		ingested += int64(end - off)
 	}
 	return ingested, 0, ""

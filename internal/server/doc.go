@@ -6,23 +6,21 @@
 //
 // # Architecture
 //
-// Two servers share one handler toolkit. Server hosts a single backend
-// behind the original endpoint set. Multi hosts many independent named
-// streams behind /streams/{id}/..., routing every request through an
-// internal/registry.Registry: streams are created lazily on first
-// ingest (or explicitly via PUT), at most MaxResident of them hold a
-// live backend at once, and the least-recently-used beyond that bound —
-// or idle past a TTL — is hibernated: checkpointed to its per-stream
-// snapshot file and dropped from RAM, then restored transparently on
-// its next request. Per-stream state is a coreset, polylogarithmic in
+// Multi hosts many independent named streams behind /streams/{id}/...,
+// routing every request through an internal/registry.Registry: streams
+// are created lazily on first ingest (or explicitly via PUT), at most
+// MaxResident of them hold a live backend at once, and the
+// least-recently-used beyond that bound — or idle past a TTL — is
+// hibernated: checkpointed to its per-stream snapshot file and dropped
+// from RAM, then restored transparently on its next request. Per-stream state is a coreset, polylogarithmic in
 // the stream, so tenant density is the point: thousands of streams fit
 // one daemon, and cold ones cost nothing.
 //
-// Both servers are algorithm-agnostic: they serve anything satisfying
-// the small Clusterer interface ([][]float64 in, [][]float64 out). The
-// shipped daemon (cmd/streamkmd) wires the registry to the
-// streamkm.Open/Restore backend factory, so each tenant picks its own
-// variant in the PUT body: "concurrent" (every point counts forever —
+// Multi is algorithm-agnostic: it serves anything satisfying the one
+// registry.Backend contract ([][]float64 in, [][]float64 out; cached and
+// forced queries; cache counters; snapshot). The shipped daemon
+// (cmd/streamkmd) wires the registry to the streamkm.Open/Restore
+// backend factory, so each tenant picks its own variant in the PUT body: "concurrent" (every point counts forever —
 // the default), "decayed" (forward exponential decay, influence halving
 // every half_life arrivals or every half_life_seconds of wall time) or
 // "windowed" (hard sliding window over the last window_n arrivals). All
@@ -50,11 +48,13 @@
 //	                               restores a hibernated stream lazily.
 //	GET    /streams/{id}/stats     per-stream facts (count, residency,
 //	                               memory, backend spec incl. half_life /
-//	                               half_life_seconds / window_n / shards);
-//	                               never warms a cold stream.
+//	                               half_life_seconds / window_n / shards,
+//	                               and centers_cache hits/misses while
+//	                               resident); never warms a cold stream.
 //	GET    /streams/{id}/snapshot  the stream's serialized state; served
 //	                               from its file when hibernated.
-//	POST   /streams/{id}/snapshot  checkpoint the stream to its file.
+//	POST   /streams/{id}/snapshot  checkpoint the stream to its file;
+//	                               400 for a memory-only stream.
 //	PUT    /streams/{id}/snapshot  install the stream from the snapshot
 //	                               envelope in the body and restore it
 //	                               immediately — the receiving half of a
@@ -117,11 +117,10 @@
 //	                               (streamkm_registry_events_total,
 //	                               including throttle and shed).
 //	                               Dependency-free: written and parsed by
-//	                               internal/metrics. The single-stream
-//	                               Server and the router serve the same
-//	                               route (the router with
+//	                               internal/metrics. The router serves
+//	                               the same route, with
 //	                               streamkm_router_* families instead of
-//	                               tenant series).
+//	                               tenant series.
 //	GET    /healthz                liveness probe.
 //
 // The pre-registry single-stream endpoints (POST /ingest, GET /centers,

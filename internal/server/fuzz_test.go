@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
+	"streamkm/internal/registry"
 	"streamkm/internal/wire"
 )
 
@@ -19,12 +22,24 @@ type sinkClusterer struct {
 	count atomic.Int64
 }
 
-func (s *sinkClusterer) AddBatch(pts [][]float64)           { s.count.Add(int64(len(pts))) }
-func (s *sinkClusterer) AddWeighted(p []float64, w float64) { s.count.Add(1) }
-func (s *sinkClusterer) Centers() [][]float64               { return [][]float64{} }
-func (s *sinkClusterer) Count() int64                       { return s.count.Load() }
-func (s *sinkClusterer) PointsStored() int                  { return 0 }
-func (s *sinkClusterer) Name() string                       { return "sink" }
+func (s *sinkClusterer) AddBatch(pts [][]float64)                   { s.count.Add(int64(len(pts))) }
+func (s *sinkClusterer) AddWeighted(p []float64, w float64)         { s.count.Add(1) }
+func (s *sinkClusterer) CentersContext(context.Context) [][]float64 { return [][]float64{} }
+func (s *sinkClusterer) RefreshContext(context.Context) [][]float64 { return [][]float64{} }
+func (s *sinkClusterer) CacheStats() (hits, misses int64)           { return 0, 0 }
+func (s *sinkClusterer) Count() int64                               { return s.count.Load() }
+func (s *sinkClusterer) PointsStored() int                          { return 0 }
+func (s *sinkClusterer) NumShards() int                             { return 1 }
+func (s *sinkClusterer) Name() string                               { return "sink" }
+func (s *sinkClusterer) Snapshot(io.Writer) error                   { return nil }
+
+// newSinkServer serves a fresh sinkClusterer as the default stream.
+func newSinkServer(t testing.TB, dim, maxBatch int) (*Multi, *sinkClusterer) {
+	t.Helper()
+	sink := &sinkClusterer{}
+	m := serveDefault(t, sink, registry.StreamConfig{K: 2, Dim: dim}, registry.Config{}, MultiConfig{MaxBatch: maxBatch})
+	return m, sink
+}
 
 // FuzzIngest feeds arbitrary bytes to the ndjson ingest endpoint
 // (handleIngest + parsePoint): the handler must never panic, and anything
@@ -48,7 +63,7 @@ func FuzzIngest(f *testing.F) {
 	f.Add([]byte(""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := New(&sinkClusterer{}, Config{K: 2, MaxBatch: 8})
+		srv, _ := newSinkServer(t, 0, 8)
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(data))
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req) // must not panic
@@ -95,8 +110,7 @@ func FuzzBinaryBatch(f *testing.F) {
 	f.Add(badmagic)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sink := &sinkClusterer{}
-		srv := New(sink, Config{K: 2, Dim: 2, MaxBatch: 8})
+		srv, sink := newSinkServer(t, 2, 8)
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(data))
 		req.Header.Set("Content-Type", wire.ContentType)
 		rec := httptest.NewRecorder()

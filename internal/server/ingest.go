@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"streamkm/internal/registry"
 )
 
 // Ingest hardening defaults. A request is refused with 413 once its body
@@ -40,19 +42,18 @@ func limitBody(w http.ResponseWriter, r *http.Request, max int64) io.Reader {
 	return http.MaxBytesReader(w, r.Body, max)
 }
 
-// runIngest streams ndjson points out of body and applies them to c in
+// runIngest streams ndjson points out of body and applies them to b in
 // batches of maxBatch points (one AddBatch — one shard-lock acquisition
 // — per batch). checkDim vets every point's dimension. On any failure it
 // stops, keeps what was already applied, and returns the HTTP status and
 // message to report alongside the applied count; status 0 means the
-// whole body was ingested. Shared by the single-stream server and the
-// multi-tenant per-stream handlers.
-func runIngest(body io.Reader, maxBatch int, maxPoints int64, c Clusterer, checkDim func([]float64) error) (ingested int64, status int, msg string) {
+// whole body was ingested.
+func runIngest(body io.Reader, maxBatch int, maxPoints int64, b registry.Backend, checkDim func([]float64) error) (ingested int64, status int, msg string) {
 	dec := json.NewDecoder(body)
 	batch := make([][]float64, 0, maxBatch)
 	flush := func() {
 		if len(batch) > 0 {
-			c.AddBatch(batch)
+			b.AddBatch(batch)
 			ingested += int64(len(batch))
 			batch = batch[:0]
 		}
@@ -88,12 +89,8 @@ func runIngest(body io.Reader, maxBatch int, maxPoints int64, c Clusterer, check
 			return fail(http.StatusBadRequest, "point %d: %v", ingested+int64(len(batch)), err)
 		}
 		if weight != 1 {
-			wa, ok := c.(WeightedAdder)
-			if !ok {
-				return fail(http.StatusBadRequest, "backend %s does not accept weighted points", c.Name())
-			}
 			flush()
-			wa.AddWeighted(p, weight)
+			b.AddWeighted(p, weight)
 			ingested++
 			continue
 		}
@@ -104,4 +101,46 @@ func runIngest(body io.Reader, maxBatch int, maxPoints int64, c Clusterer, check
 	}
 	flush()
 	return ingested, 0, ""
+}
+
+// ingestValue is one ndjson value in an ingest body: either a bare JSON
+// array (a unit-weight point) or an object {"p":[...],"w":2.5}. W is a
+// pointer so an absent weight (default 1) is distinguishable from an
+// explicit, invalid "w":0.
+type ingestValue struct {
+	P []float64 `json:"p"`
+	W *float64  `json:"w"`
+}
+
+// parsePoint interprets one raw ingest value.
+func parsePoint(raw json.RawMessage) ([]float64, float64, error) {
+	i := 0
+	for i < len(raw) && (raw[i] == ' ' || raw[i] == '\t' || raw[i] == '\n' || raw[i] == '\r') {
+		i++
+	}
+	if i < len(raw) && raw[i] == '{' {
+		var v ingestValue
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return nil, 0, fmt.Errorf("malformed weighted point: %v", err)
+		}
+		w := 1.0
+		if v.W != nil {
+			w = *v.W
+		}
+		if w <= 0 {
+			return nil, 0, fmt.Errorf("weight must be > 0, got %v", w)
+		}
+		if len(v.P) == 0 {
+			return nil, 0, errors.New(`weighted point has empty "p"`)
+		}
+		return v.P, w, nil
+	}
+	var p []float64
+	if err := json.Unmarshal(raw, &p); err != nil {
+		return nil, 0, fmt.Errorf("expected a JSON array of coordinates: %v", err)
+	}
+	if len(p) == 0 {
+		return nil, 0, errors.New("empty point")
+	}
+	return p, 1, nil
 }

@@ -6,26 +6,26 @@ import (
 	"testing"
 
 	"streamkm"
+	"streamkm/internal/registry"
 )
 
-// The single-stream server enforces the same ingest request caps as the
-// multi-tenant one (they share runIngest); these tests pin the 413
+// The single-stream aliases enforce the same ingest request caps as the
+// per-stream routes (they share runIngest); these tests pin the 413
 // behavior on the legacy surface.
 
-func newLimitedServer(t *testing.T, cfg Config) *httptest.Server {
+func newLimitedServer(t *testing.T, cfg MultiConfig) *httptest.Server {
 	t.Helper()
 	c, err := streamkm.NewConcurrent(streamkm.AlgoCC, 2, streamkm.Config{K: 3, BucketSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.K = 3
-	ts := httptest.NewServer(New(c, cfg).Handler())
+	ts := httptest.NewServer(serveDefault(t, c, registry.StreamConfig{K: 3}, registry.Config{}, cfg).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
 
 func TestIngestBodyLimit413(t *testing.T) {
-	ts := newLimitedServer(t, Config{MaxBodyBytes: 64})
+	ts := newLimitedServer(t, MultiConfig{MaxBodyBytes: 64})
 	resp, m := postIngest(t, ts, ndjson(100, 2, 1))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status %d, want 413 (%v)", resp.StatusCode, m)
@@ -36,7 +36,7 @@ func TestIngestBodyLimit413(t *testing.T) {
 }
 
 func TestIngestPointLimit413(t *testing.T) {
-	ts := newLimitedServer(t, Config{MaxPoints: 8, MaxBatch: 4})
+	ts := newLimitedServer(t, MultiConfig{MaxPoints: 8, MaxBatch: 4})
 	resp, m := postIngest(t, ts, ndjson(40, 2, 1))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("too-many-points status %d, want 413 (%v)", resp.StatusCode, m)
@@ -51,7 +51,7 @@ func TestIngestErrorBodiesIncludeIngested(t *testing.T) {
 	// carries how many points were applied before the failure, so a
 	// client can resume without double-counting. A malformed line
 	// mid-stream is the canonical partial-application case.
-	ts := newLimitedServer(t, Config{})
+	ts := newLimitedServer(t, MultiConfig{})
 	resp, m := postIngest(t, ts, "[1,2]\nnot-json\n[3,4]\n")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed line status %d, want 400 (%v)", resp.StatusCode, m)
@@ -67,7 +67,7 @@ func TestIngestErrorBodiesIncludeIngested(t *testing.T) {
 
 func TestIngestLimitsDisabled(t *testing.T) {
 	// Negative caps disable the guards entirely.
-	ts := newLimitedServer(t, Config{MaxBodyBytes: -1, MaxPoints: -1})
+	ts := newLimitedServer(t, MultiConfig{MaxBodyBytes: -1, MaxPoints: -1})
 	resp, m := postIngest(t, ts, ndjson(2000, 2, 1))
 	if resp.StatusCode != http.StatusOK || m["ingested"].(float64) != 2000 {
 		t.Fatalf("uncapped ingest: %d %v", resp.StatusCode, m)
@@ -75,7 +75,7 @@ func TestIngestLimitsDisabled(t *testing.T) {
 }
 
 func TestIngestUnderDefaultLimitsUnaffected(t *testing.T) {
-	ts := newLimitedServer(t, Config{})
+	ts := newLimitedServer(t, MultiConfig{})
 	resp, m := postIngest(t, ts, ndjson(500, 2, 1))
 	if resp.StatusCode != http.StatusOK || m["ingested"].(float64) != 500 {
 		t.Fatalf("default-capped ingest: %d %v", resp.StatusCode, m)

@@ -9,8 +9,7 @@ import (
 )
 
 // Prometheus exposition for the serving processes: GET /metrics on the
-// single-stream Server, the multi-tenant Multi and (in internal/ring)
-// the router. Everything is derived from the same counters /stats
+// multi-tenant Multi and (in internal/ring) the router. Everything is derived from the same counters /stats
 // serves as JSON; the histograms add the latency distribution JSON only
 // summarizes as p50/p95.
 
@@ -121,18 +120,5 @@ func (m *Multi) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		tlat.Add(t.ingest.Latency, "stream", t.id, "op", "ingest")
 		tlat.Add(t.query.Latency, "stream", t.id, "op", "query")
 	}
-	serveProm(w, &e)
-}
-
-// handleMetrics serves the single-stream server's exposition: the
-// common endpoint families only (one stream needs no tenant series).
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var e metrics.Exposition
-	writeCommonMetrics(&e, []endpointSample{
-		{"ingest", s.ingestStats.Snapshot()},
-		{"centers", s.centersStats.Snapshot()},
-		{"stats", s.statsStats.Snapshot()},
-		{"snapshot", s.snapshotStats.Snapshot()},
-	}, s.checkpoint.Snapshot(), s.start)
 	serveProm(w, &e)
 }

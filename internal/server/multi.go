@@ -27,8 +27,10 @@ type MultiConfig struct {
 	// MaxBatch caps how many points are applied to a backend per
 	// AddBatch call while streaming an ingest body. Default 512.
 	MaxBatch int
-	// MaxBodyBytes / MaxPoints are the per-request ingest caps, as in
-	// Config (413 beyond; 0 = defaults, negative = uncapped).
+	// MaxBodyBytes caps the size of one ingest request body and
+	// MaxPoints how many points it may carry; beyond either the request
+	// is refused with 413 instead of read unboundedly. 0 selects the
+	// defaults (64 MiB, ~1M points), negative disables the cap.
 	MaxBodyBytes int64
 	MaxPoints    int64
 	// Trace receives one span per request and serves GET /debug/traces.
@@ -208,8 +210,66 @@ func (m *Multi) Registry() *registry.Registry { return m.reg }
 // Traces returns the recorder behind GET /debug/traces.
 func (m *Multi) Traces() *trace.Recorder { return m.tr }
 
+// handled is an http handler that additionally reports how many items it
+// processed and whether it failed, for endpoint accounting.
+type handled func(w http.ResponseWriter, r *http.Request) (items int64, failed bool)
+
+// observe wraps a handler with latency/throughput accounting and the
+// per-request span lifecycle: an incoming traceparent joins its trace,
+// anything else starts a fresh one; the span rides the request context
+// so deeper layers (registry lock-wait, restore, shard-merge) can add
+// stages; and a request over the slow threshold emits one structured
+// log record.
 func (m *Multi) observe(name string, st *metrics.EndpointStats, h handled) http.Handler {
-	return observe(m.tr, m.cfg.SlowRequest, m.logger, name, st, h)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		tid, parent, _, _ := trace.Parse(r.Header.Get(trace.Header))
+		sp := m.tr.StartSpan(name, tid, parent)
+		r = r.WithContext(trace.NewContext(r.Context(), sp))
+		sw := &statusWriter{ResponseWriter: w}
+		items, failed := h(sw, r)
+		d := time.Since(t0)
+		st.Record(d, items, failed)
+		status := sw.status
+		if status == 0 {
+			status = http.StatusOK // handler wrote nothing: net/http's implicit 200
+		}
+		sp.SetStatus(status)
+		sp.SetFailed(failed)
+		data := sp.End()
+		if m.cfg.SlowRequest > 0 && d >= m.cfg.SlowRequest {
+			trace.LogSlow(m.logger, data)
+		}
+	})
+}
+
+// statusWriter captures the status code a handler resolved to, for the
+// request's span; a Write without an explicit WriteHeader is the
+// implicit 200.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.Encode(v)
 }
 
 // byID adapts a per-stream handler to the mux, extracting {id} and
@@ -234,6 +294,8 @@ func statusFor(err error) int {
 	case errors.Is(err, registry.ErrInvalidID):
 		return http.StatusBadRequest
 	case errors.Is(err, registry.ErrInvalidConfig):
+		return http.StatusBadRequest
+	case errors.Is(err, registry.ErrNoSnapshotPath):
 		return http.StatusBadRequest
 	case errors.Is(err, registry.ErrThrottled):
 		return http.StatusTooManyRequests
@@ -441,8 +503,9 @@ func (m *Multi) ingestBinary(id string, w http.ResponseWriter, r *http.Request, 
 }
 
 // handleCenters answers a clustering query against the named stream,
-// restoring it from disk first when hibernated. Unknown streams are 404
-// — a query never creates a tenant.
+// restoring it from disk first when hibernated: through the backend's
+// cached fast path unless ?refresh=1 forces recomputation. Unknown
+// streams are 404 — a query never creates a tenant.
 func (m *Multi) handleCenters(id string, w http.ResponseWriter, r *http.Request) (int64, bool) {
 	refresh, _ := strconv.ParseBool(r.URL.Query().Get("refresh"))
 	var (
@@ -453,7 +516,11 @@ func (m *Multi) handleCenters(id string, w http.ResponseWriter, r *http.Request)
 	)
 	err := m.reg.WithContext(r.Context(), id, false, func(s *registry.Stream, b registry.Backend) error {
 		endStage := trace.FromContext(r.Context()).StartStage("coreset-recompute")
-		centers = queryCenters(r.Context(), b, refresh)
+		if refresh {
+			centers = b.RefreshContext(r.Context())
+		} else {
+			centers = b.CentersContext(r.Context())
+		}
 		endStage()
 		count = b.Count()
 		k = s.Config().K
@@ -478,7 +545,8 @@ func (m *Multi) handleCenters(id string, w http.ResponseWriter, r *http.Request)
 }
 
 // handleStreamStats describes one stream without changing its residency:
-// statting a hibernated tenant keeps it hibernated.
+// statting a hibernated tenant keeps it hibernated. Resident streams also
+// report their centers-cache counters.
 func (m *Multi) handleStreamStats(id string, w http.ResponseWriter, _ *http.Request) (int64, bool) {
 	in, err := m.reg.Stat(id)
 	if err != nil {
@@ -518,6 +586,9 @@ func (m *Multi) handleStreamStats(id string, w http.ResponseWriter, _ *http.Requ
 	if in.MaxResBytes > 0 {
 		resp["max_resident_bytes"] = in.MaxResBytes
 	}
+	if in.Resident {
+		resp["centers_cache"] = map[string]int64{"hits": in.CacheHits, "misses": in.CacheMisses}
+	}
 	writeJSON(w, http.StatusOK, resp)
 	return 0, false
 }
@@ -538,11 +609,12 @@ func (m *Multi) handleSnapshotGet(id string, w http.ResponseWriter, _ *http.Requ
 }
 
 // handleSnapshotPost checkpoints the named stream to its per-stream
-// snapshot file. For a hibernated stream this is a no-op success: its
-// file already holds the state.
+// snapshot file (atomic write) and reports what was written. For a
+// hibernated stream this is a no-op success: its file already holds the
+// state. A memory-only stream has no file to write: 400.
 func (m *Multi) handleSnapshotPost(id string, w http.ResponseWriter, r *http.Request) (int64, bool) {
 	endStage := trace.FromContext(r.Context()).StartStage("checkpoint-fsync")
-	n, err := m.reg.Checkpoint(id)
+	path, n, err := m.reg.Checkpoint(id)
 	endStage()
 	if err != nil {
 		writeErr(w, err)
@@ -551,6 +623,7 @@ func (m *Multi) handleSnapshotPost(id string, w http.ResponseWriter, r *http.Req
 	in, _ := m.reg.Stat(id)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"stream": id,
+		"path":   path,
 		"bytes":  n,
 		"count":  in.Count,
 	})

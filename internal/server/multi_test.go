@@ -264,11 +264,23 @@ func TestMultiListAndStats(t *testing.T) {
 	if m["resident"].(bool) {
 		t.Fatal("statting a cold stream warmed it")
 	}
+	if _, ok := m["centers_cache"]; ok {
+		t.Fatalf("cold stream reports cache counters: %v", m)
+	}
 
 	// Querying it restores it — and the count survived the round trip.
 	resp, m = getJSON(t, ts.URL+"/streams/"+victim+"/centers")
 	if resp.StatusCode != 200 || m["count"].(float64) != 50 {
 		t.Fatalf("restored centers %d %v", resp.StatusCode, m)
+	}
+
+	// Resident again, it reports its centers cache: the query above found
+	// no cached entry and recomputed, a second one is served from cache.
+	getJSON(t, ts.URL+"/streams/"+victim+"/centers")
+	_, m = getJSON(t, ts.URL+"/streams/"+victim+"/stats")
+	cc, ok := m["centers_cache"].(map[string]interface{})
+	if !ok || cc["hits"].(float64) != 1 || cc["misses"].(float64) != 1 {
+		t.Fatalf("resident stream centers_cache %v, want hits 1 misses 1 (stats %v)", m["centers_cache"], m)
 	}
 }
 

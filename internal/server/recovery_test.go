@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"streamkm"
+	"streamkm/internal/registry"
 )
 
 // The end-to-end crash-recovery suite: for every coreset algorithm, a
@@ -19,17 +21,12 @@ import (
 // footprint, equivalent clustering cost — from a server that never went
 // down. This is the test the checkpoint subsystem exists to pass.
 
-// recoverable is a servable backend that can also checkpoint itself.
-type recoverable interface {
-	Clusterer
-	Snapshotter
-}
-
 // lockedOnlineCC adapts a single-goroutine OnlineCC clusterer to the
-// server's concurrent Clusterer interface with one mutex — the simplest
+// registry's concurrent Backend contract with one mutex — the simplest
 // way to serve (and therefore crash-recover) the paper's fastest-query
 // algorithm, which has no sharded variant because its sequential cache
-// does not union.
+// does not union. Its queries run OnlineCC's own cached path, so it
+// keeps no centers cache of its own.
 type lockedOnlineCC struct {
 	mu sync.Mutex
 	c  streamkm.Clusterer
@@ -43,11 +40,25 @@ func (l *lockedOnlineCC) AddBatch(pts [][]float64) {
 	}
 }
 
-func (l *lockedOnlineCC) Centers() [][]float64 {
+func (l *lockedOnlineCC) AddWeighted(p []float64, w float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.c.AddWeighted(p, w)
+}
+
+func (l *lockedOnlineCC) CentersContext(context.Context) [][]float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.c.Centers()
 }
+
+func (l *lockedOnlineCC) RefreshContext(ctx context.Context) [][]float64 {
+	return l.CentersContext(ctx)
+}
+
+func (l *lockedOnlineCC) CacheStats() (hits, misses int64) { return 0, 0 }
+
+func (l *lockedOnlineCC) NumShards() int { return 1 }
 
 func (l *lockedOnlineCC) Count() int64 {
 	l.mu.Lock()
@@ -77,8 +88,8 @@ func (l *lockedOnlineCC) Snapshot(w io.Writer) error {
 // algorithm's serving backend.
 type recoveryBackend struct {
 	name    string
-	fresh   func(t *testing.T) recoverable
-	restore func(t *testing.T, snap []byte) recoverable
+	fresh   func(t *testing.T) registry.Backend
+	restore func(t *testing.T, snap []byte) registry.Backend
 }
 
 func recoveryBackends() []recoveryBackend {
@@ -88,14 +99,14 @@ func recoveryBackends() []recoveryBackend {
 		algo := algo
 		out = append(out, recoveryBackend{
 			name: string(algo),
-			fresh: func(t *testing.T) recoverable {
+			fresh: func(t *testing.T) registry.Backend {
 				c, err := streamkm.NewConcurrent(algo, 2, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return c
 			},
-			restore: func(t *testing.T, snap []byte) recoverable {
+			restore: func(t *testing.T, snap []byte) registry.Backend {
 				c, err := streamkm.NewConcurrentFromSnapshot(bytes.NewReader(snap), streamkm.Config{Seed: 43})
 				if err != nil {
 					t.Fatalf("restore: %v", err)
@@ -106,14 +117,14 @@ func recoveryBackends() []recoveryBackend {
 	}
 	out = append(out, recoveryBackend{
 		name: "OnlineCC",
-		fresh: func(t *testing.T) recoverable {
+		fresh: func(t *testing.T) registry.Backend {
 			c, err := streamkm.New(streamkm.AlgoOnlineCC, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return &lockedOnlineCC{c: c}
 		},
-		restore: func(t *testing.T, snap []byte) recoverable {
+		restore: func(t *testing.T, snap []byte) registry.Backend {
 			c, err := streamkm.Load(bytes.NewReader(snap), streamkm.Config{Seed: 43})
 			if err != nil {
 				t.Fatalf("restore: %v", err)
@@ -180,6 +191,12 @@ func fetchSnapshot(t *testing.T, ts *httptest.Server) []byte {
 	return raw
 }
 
+// serveRecovery serves b as the default stream (k=3), applying ingest
+// bodies in AddBatch chunks of maxBatch points.
+func serveRecovery(t *testing.T, b registry.Backend, maxBatch int) *Multi {
+	return serveDefault(t, b, registry.StreamConfig{K: 3}, registry.Config{}, MultiConfig{MaxBatch: maxBatch})
+}
+
 func kmeansCost(pts [][]float64, centers [][]float64) float64 {
 	return streamkm.Cost(pts, centers)
 }
@@ -199,7 +216,7 @@ func TestSnapshotDuringConcurrentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(c, Config{K: 3, MaxBatch: batchSize}).Handler())
+	ts := httptest.NewServer(serveRecovery(t, c, batchSize).Handler())
 	defer ts.Close()
 
 	var wg sync.WaitGroup
@@ -286,11 +303,11 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			// Uninterrupted reference run.
 			ref := b.fresh(t)
-			refSrv := httptest.NewServer(New(ref, Config{K: 3, MaxBatch: chunk}).Handler())
+			refSrv := httptest.NewServer(serveRecovery(t, ref, chunk).Handler())
 			ingestChunks(t, refSrv, stream, chunk)
 			refCount := ref.Count()
 			refStored := ref.PointsStored()
-			refCost := kmeansCost(holdout, ref.Centers())
+			refCost := kmeansCost(holdout, ref.CentersContext(context.Background()))
 			refSrv.Close()
 			if refCount != n {
 				t.Fatalf("reference count %d, want %d", refCount, n)
@@ -299,13 +316,13 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 			// Crashed run: ingest half, snapshot over HTTP, tear everything
 			// down, restore into a brand-new server, ingest the rest.
 			first := b.fresh(t)
-			srv1 := httptest.NewServer(New(first, Config{K: 3, MaxBatch: chunk}).Handler())
+			srv1 := httptest.NewServer(serveRecovery(t, first, chunk).Handler())
 			ingestChunks(t, srv1, stream[:n/2], chunk)
 			snap := fetchSnapshot(t, srv1)
 			srv1.Close() // the "crash": the first server is gone for good
 
 			restored := b.restore(t, snap)
-			srv2 := httptest.NewServer(New(restored, Config{K: 3, MaxBatch: chunk}).Handler())
+			srv2 := httptest.NewServer(serveRecovery(t, restored, chunk).Handler())
 			defer srv2.Close()
 			if got := restored.Count(); got != n/2 {
 				t.Fatalf("restored count %d, want %d", got, n/2)
@@ -324,7 +341,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 
 			// Clustering quality must be equivalent within the tolerance of
 			// re-seeded query randomness.
-			gotCost := kmeansCost(holdout, restored.Centers())
+			gotCost := kmeansCost(holdout, restored.CentersContext(context.Background()))
 			if gotCost > 2*refCost || refCost > 2*gotCost {
 				t.Errorf("recovered cost %v vs uninterrupted %v", gotCost, refCost)
 			}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,17 +14,47 @@ import (
 	"testing"
 
 	"streamkm"
+	"streamkm/internal/registry"
 )
 
-// newTestServer backs the HTTP layer with a real streamkm.Concurrent —
-// the production pairing — over a tiny configuration.
+// serveDefault hosts b as a Multi's default stream, materialized eagerly
+// the way cmd/streamkmd boots its default stream, so the single-stream
+// aliases (POST /ingest, GET /centers, GET/POST /snapshot) serve it.
+// sc is the stream's configuration (k, dimension); regCfg supplies
+// persistence (Files, DataDir) and gets its factories replaced.
+func serveDefault(t testing.TB, b registry.Backend, sc registry.StreamConfig, regCfg registry.Config, cfg MultiConfig) *Multi {
+	t.Helper()
+	regCfg.Default = sc
+	regCfg.New = func(id string, _ registry.StreamConfig) (registry.Backend, error) {
+		if id != "default" {
+			return nil, fmt.Errorf("only the default stream is served, not %q", id)
+		}
+		return b, nil
+	}
+	regCfg.Restore = func(string, registry.StreamConfig, io.Reader) (registry.Backend, registry.StreamConfig, error) {
+		return nil, registry.StreamConfig{}, errors.New("restore is not served")
+	}
+	reg, err := registry.New(regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.With("default", true, func(*registry.Stream, registry.Backend) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return NewMulti(reg, cfg)
+}
+
+// newTestServer backs the default stream with a real
+// streamkm.Concurrent — the production pairing — over a tiny
+// configuration.
 func newTestServer(t *testing.T, k, dim int) (*httptest.Server, *streamkm.Concurrent) {
 	t.Helper()
 	c, err := streamkm.NewConcurrent(streamkm.AlgoCC, 2, streamkm.Config{K: k, BucketSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(c, Config{K: k, Dim: dim, MaxBatch: 64}).Handler())
+	m := serveDefault(t, c, registry.StreamConfig{K: k, Dim: dim}, registry.Config{}, MultiConfig{MaxBatch: 64})
+	ts := httptest.NewServer(m.Handler())
 	t.Cleanup(ts.Close)
 	return ts, c
 }
@@ -205,7 +237,8 @@ func TestStats(t *testing.T) {
 	postIngest(t, ts, ndjson(300, 4, 2))
 	getJSON(t, ts.URL+"/centers")
 
-	resp, m := getJSON(t, ts.URL+"/stats")
+	// Stream facts are per stream; endpoint counters are daemon-wide.
+	resp, m := getJSON(t, ts.URL+"/streams/default/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -215,6 +248,14 @@ func TestStats(t *testing.T) {
 	if m["points_stored"].(float64) <= 0 || m["memory_mb"].(float64) <= 0 {
 		t.Fatalf("memory stats %v", m)
 	}
+	if _, ok := m["centers_cache"]; !ok {
+		t.Fatalf("no centers_cache in stats: %v", m)
+	}
+
+	resp, m = getJSON(t, ts.URL+"/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
 	eps := m["endpoints"].(map[string]interface{})
 	ing := eps["ingest"].(map[string]interface{})
 	if ing["requests"].(float64) != 1 || ing["items"].(float64) != 300 {
@@ -223,9 +264,6 @@ func TestStats(t *testing.T) {
 	cen := eps["centers"].(map[string]interface{})
 	if cen["requests"].(float64) != 1 {
 		t.Fatalf("centers counters %v", cen)
-	}
-	if _, ok := m["centers_cache"]; !ok {
-		t.Fatalf("no centers_cache in stats: %v", m)
 	}
 }
 
@@ -240,15 +278,17 @@ func TestStatsCountsErrors(t *testing.T) {
 }
 
 // TestSnapshotEndpoints exercises the checkpoint surface: POST writes the
-// configured file atomically and accounts it in /stats, GET streams the
-// same state, and both degrade cleanly when unsupported or unconfigured.
+// default stream's file atomically and accounts it in /stats, GET streams
+// the same state.
 func TestSnapshotEndpoints(t *testing.T) {
 	c, err := streamkm.NewConcurrent(streamkm.AlgoCC, 2, streamkm.Config{K: 2, BucketSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/state.snap"
-	ts := httptest.NewServer(New(c, Config{K: 2, SnapshotPath: path}).Handler())
+	srv := serveDefault(t, c, registry.StreamConfig{K: 2},
+		registry.Config{Files: map[string]string{"default": path}}, MultiConfig{})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	postIngest(t, ts, ndjson(120, 3, 9))
 
@@ -312,31 +352,15 @@ func mustOpen(t *testing.T, path string) *os.File {
 }
 
 func TestSnapshotWithoutPathIs400(t *testing.T) {
-	ts, _ := newTestServer(t, 2, 0) // no SnapshotPath configured
-	resp, err := http.Post(ts.URL+"/snapshot", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestSnapshotUnsupportedBackendIs501(t *testing.T) {
-	ts := httptest.NewServer(New(&sinkClusterer{}, Config{K: 2}).Handler())
-	defer ts.Close()
-	for _, do := range []func() (*http.Response, error){
-		func() (*http.Response, error) { return http.Get(ts.URL + "/snapshot") },
-		func() (*http.Response, error) { return http.Post(ts.URL+"/snapshot", "", nil) },
-	} {
-		resp, err := do()
+	ts, _ := newTestServer(t, 2, 0) // memory-only: no snapshot path
+	for _, route := range []string{"/snapshot", "/streams/default/snapshot"} {
+		resp, err := http.Post(ts.URL+route, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Fatalf("status %d, want 501", resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func BenchmarkIngestWire(b *testing.B) {
 	}
 
 	run := func(b *testing.B, contentType string, body []byte) {
-		srv := New(&sinkClusterer{}, Config{K: 2, Dim: dim, MaxBatch: 512})
+		srv, _ := newSinkServer(b, dim, 512)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		client := ts.Client()

@@ -253,11 +253,11 @@ func TestBinaryNdjsonEquivalenceWeighted(t *testing.T) {
 	assertEquivalent(t, "weighted", pts, ts.URL, "wdiff-nd", "wdiff-bin")
 }
 
-// TestBinaryIngestSingleStream exercises the legacy single-stream server
-// binary path end-to-end: round trip through POST /ingest plus the
+// TestBinaryIngestSingleStream exercises the binary path end-to-end
+// through the single-stream POST /ingest alias: round trip plus the
 // malformed-body, empty-batch and wrong-dimension contracts.
 func TestBinaryIngestSingleStream(t *testing.T) {
-	srv := New(&sinkClusterer{}, Config{K: 2, Dim: 3, MaxBatch: 8})
+	srv, sink := newSinkServer(t, 3, 8)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -282,7 +282,7 @@ func TestBinaryIngestSingleStream(t *testing.T) {
 	}
 
 	// Wrong dimension: 400, nothing applied.
-	before := srv.c.Count()
+	before := sink.Count()
 	bad, err := wire.EncodeBatch([][]float64{{1, 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +295,8 @@ func TestBinaryIngestSingleStream(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || out["ingested"].(float64) != 0 {
 		t.Fatalf("dim mismatch: status %d body %v", resp.StatusCode, out)
 	}
-	if srv.c.Count() != before {
-		t.Fatalf("dim mismatch applied points: %d -> %d", before, srv.c.Count())
+	if sink.Count() != before {
+		t.Fatalf("dim mismatch applied points: %d -> %d", before, sink.Count())
 	}
 
 	// Truncated body: 400, nothing applied.
@@ -312,8 +312,8 @@ func TestBinaryIngestSingleStream(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated: status %d body %v", resp.StatusCode, out)
 	}
-	if srv.c.Count() != before {
-		t.Fatalf("truncated body applied points: %d -> %d", before, srv.c.Count())
+	if sink.Count() != before {
+		t.Fatalf("truncated body applied points: %d -> %d", before, sink.Count())
 	}
 }
 
